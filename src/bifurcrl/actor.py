@@ -12,7 +12,7 @@ from .autodiff import Tensor
 from .critic import CriticPair
 from .distributions import ActionBounds, GmmPolicyOutput
 from .errors import ConfigError
-from .nets import SpectralNormalizer
+from .nets import SpectralNormalizer, linear
 
 LOG_STD_MIN = float(np.log(dist.STD_MIN))
 LOG_STD_MAX = float(np.log(dist.STD_MAX))
@@ -37,11 +37,8 @@ class PolicyNetwork:
         self._params = []
         self._normalizers = []
 
-        def linear(n_in, n_out, tag):
-            scale = np.sqrt(2.0 / (n_in + n_out))
-            w = ad.parameter(rng.normal(0.0, scale, size=(n_in, n_out)),
-                             name=f"{name}.{tag}.w")
-            b = ad.parameter(np.zeros(n_out), name=f"{name}.{tag}.b")
+        def layer(n_in, n_out, tag):
+            w, b = linear(n_in, n_out, rng, f"{name}.{tag}.w", f"{name}.{tag}.b")
             self._params.extend([w, b])
             self._normalizers.append(SpectralNormalizer(w, self.lipschitz, rng))
             return w, b
@@ -49,11 +46,11 @@ class PolicyNetwork:
         self.trunk = []
         last = obs_dim
         for i, width in enumerate(hidden):
-            self.trunk.append(linear(last, width, f"trunk{i}"))
+            self.trunk.append(layer(last, width, f"trunk{i}"))
             last = width
-        self.head_gate = linear(last, components, "gate")
-        self.head_mean = linear(last, components * act_dim, "mean")
-        self.head_std = linear(last, components * act_dim, "std")
+        self.head_gate = layer(last, components, "gate")
+        self.head_mean = layer(last, components * act_dim, "mean")
+        self.head_std = layer(last, components * act_dim, "std")
         # bias the pre-std head so the initial std sits at STD_INIT rather
         # than at the geometric mean of the clamp range (too narrow to explore)
         frac = (np.log(STD_INIT) - LOG_STD_MIN) / (LOG_STD_MAX - LOG_STD_MIN)
@@ -80,19 +77,19 @@ class PolicyNetwork:
         if x.data.shape[1] != self.obs_dim:
             raise ConfigError(
                 f"{self.name}: observation width {x.data.shape[1]} != {self.obs_dim}")
-        weights = iter(self._normalizers)
+        norms = iter(self._normalizers)
+
+        def dense(h, layer):
+            w_eff = next(norms).effective_weight(power_iters)
+            return ad.add(ad.matmul(h, w_eff), layer[1])
+
         h = x
-        for w, b in self.trunk:
-            h = ad.gelu(ad.add(ad.matmul(h, next(weights).effective_weight(power_iters)), b))
+        for layer in self.trunk:
+            h = ad.gelu(dense(h, layer))
         n = h.data.shape[0]
-        wg, bg = self.head_gate
-        gates = ad.softmax(ad.add(ad.matmul(h, next(weights).effective_weight(power_iters)), bg), axis=1)
-        wm, bm = self.head_mean
-        means = ad.reshape(ad.add(ad.matmul(h, next(weights).effective_weight(power_iters)), bm),
-                           (n, self.k, self.act_dim))
-        ws, bs = self.head_std
-        pre_std = ad.reshape(ad.add(ad.matmul(h, next(weights).effective_weight(power_iters)), bs),
-                             (n, self.k, self.act_dim))
+        gates = ad.softmax(dense(h, self.head_gate), axis=1)
+        means = ad.reshape(dense(h, self.head_mean), (n, self.k, self.act_dim))
+        pre_std = ad.reshape(dense(h, self.head_std), (n, self.k, self.act_dim))
         stds = ad.exp(ad.smooth_clamp(pre_std, LOG_STD_MIN, LOG_STD_MAX))
         return GmmPolicyOutput(gates=gates, means=means, stds=stds, bounds=self.bounds)
 
@@ -111,6 +108,24 @@ class PolicyNetwork:
         """Run power iteration to its fixed point on every layer, so the
         singular-value estimates behind the clip are accurate."""
         self.refresh_spectral(iters)
+
+    def spectral_vectors(self) -> dict:
+        """Each layer's power-iteration warm-start vector, keyed by
+        'spectral/' + its weight's name."""
+        return {f"spectral/{norm.weight.name}": norm.u for norm in self._normalizers}
+
+    def restore_spectral_vectors(self, vectors: dict):
+        """Set the warm-start vectors saved by spectral_vectors(), so the
+        clip, and with it every action, matches the saved policy exactly."""
+        for norm in self._normalizers:
+            name = f"spectral/{norm.weight.name}"
+            if name not in vectors:
+                raise ConfigError(f"missing spectral warm-start vector for {name!r}")
+            u = np.asarray(vectors[name], dtype=np.float64)
+            if u.shape != norm.u.shape:
+                raise ConfigError(
+                    f"spectral vector shape {u.shape} != {norm.u.shape} for {name!r}")
+            norm.u = u.copy()
 
     def spectral_report(self, iters: int = 30) -> list:
         """Exact top singular value of each effective weight after clipping."""
@@ -179,21 +194,16 @@ def langevin_sample(critic: CriticPair, policy: PolicyNetwork, states: np.ndarra
 
 
 def reverse_kl_loss(policy: PolicyNetwork, critic: CriticPair, states,
-                    alpha: float, rng: np.random.Generator,
-                    scale_log_prob: bool = True, sample=None) -> Tensor:
+                    alpha: float, rng: np.random.Generator, sample=None) -> Tensor:
     """Mode-seeking term: E[alpha * log pi(u|x) - Q_min(x, u)] with pathwise u.
 
-    With scale_log_prob=False the log-density enters unscaled (the literal
-    unweighted form); the scaled form matches the alpha-scaled energy density.
     A precomputed policy `sample` for the same states may be reused.
     """
     if sample is None:
         sample = policy.sample(states, rng)
     action, _ = dist.squash_action(sample.pre_action, policy.bounds)
     q = critic.q_min(states, action)
-    logp = sample.log_prob
-    if scale_log_prob:
-        logp = ad.mul(logp, alpha)
+    logp = ad.mul(sample.log_prob, alpha)
     return ad.tmean(ad.sub(logp, q))
 
 
@@ -209,30 +219,18 @@ def policy_loss(j_rev: Tensor, j_fwd: Tensor, lam: float) -> Tensor:
     return ad.add(j_rev, ad.mul(j_fwd, lam))
 
 
-def lambda_schedule(initial: float, final: float, step: int, total_steps: int) -> float:
-    """Linear decay of the forward-KL weight over the total update count."""
-    if total_steps <= 1:
-        return final
-    frac = min(1.0, step / (total_steps - 1))
-    return initial + frac * (final - initial)
+def temperature_update(temp: Temperature, log_probs: np.ndarray,
+                       beta: float) -> Temperature:
+    """log(alpha) <- log(alpha) - beta * E[-log pi - H], alpha floored at
+    temp.floor.
 
-
-def temperature_update(temp: Temperature, log_probs: np.ndarray, beta: float,
-                       parameterization: str = "log") -> Temperature:
-    """alpha <- alpha - beta * E[-log pi - H], floored at temp.floor.
-
-    The log parameterization steps log(alpha) by -beta * E[-log pi - H]
-    (multiplicative in alpha; identical to the plain update at alpha = 1 and
-    stable for small alpha); 'direct' applies the plain update verbatim.
+    Stepping log(alpha) makes the update multiplicative in alpha: to first
+    order it is the plain update alpha - beta * E[-log pi - H] at alpha = 1,
+    and it stays positive and stable for small alpha.
     """
     if beta <= 0:
         raise ConfigError("temperature learning rate must be positive")
     k = float(np.mean(-log_probs) - temp.target_entropy)
-    if parameterization == "direct":
-        alpha = max(temp.alpha - beta * k, temp.floor)
-        return Temperature(float(np.log(alpha)), temp.target_entropy, temp.floor)
-    if parameterization != "log":
-        raise ConfigError(f"unknown temperature parameterization {parameterization!r}")
     log_alpha = temp.log_alpha - beta * k
     alpha = max(float(np.exp(log_alpha)), temp.floor)
     return Temperature(float(np.log(alpha)), temp.target_entropy, temp.floor)

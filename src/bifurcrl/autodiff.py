@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import erf as _erf
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -58,9 +58,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def backward(self, seed=None):
         """Accumulate d(self)/d(leaf) into every reachable leaf's .grad.
@@ -131,9 +128,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def __pow__(self, p):
-        return power(self, p)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -170,13 +164,6 @@ def div(a, b):
                   _bwd=lambda g: ((a, g / b.data), (b, -g * a.data / (b.data * b.data))))
 
 
-def power(a, p: float):
-    a = as_tensor(a)
-    out = a.data ** p
-    return Tensor(out, _parents=(a,),
-                  _bwd=lambda g: ((a, g * p * a.data ** (p - 1)),))
-
-
 def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
@@ -203,24 +190,10 @@ def log(a):
     return Tensor(out, _parents=(a,), _bwd=lambda g: ((a, g / a.data),))
 
 
-def sqrt(a):
-    a = as_tensor(a)
-    out = np.sqrt(a.data)
-    return Tensor(out, _parents=(a,), _bwd=lambda g: ((a, g * 0.5 / out),))
-
-
 def tanh(a):
     a = as_tensor(a)
     out = np.tanh(a.data)
     return Tensor(out, _parents=(a,), _bwd=lambda g: ((a, g * (1.0 - out * out)),))
-
-
-def erf(a):
-    a = as_tensor(a)
-    out = _erf(a.data)
-    d = 2.0 / np.sqrt(np.pi)
-    return Tensor(out, _parents=(a,),
-                  _bwd=lambda g: ((a, g * d * np.exp(-a.data * a.data)),))
 
 
 def gelu(a):
@@ -297,24 +270,17 @@ def minimum(a, b):
     return where(a.data <= b.data, a, b)
 
 
-def maximum(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    return where(a.data >= b.data, a, b)
-
-
-def gather_components(a, idx: np.ndarray):
-    """Select per-row component slices: a (n, k, d), idx (n,) -> (n, d)."""
+def take(a, key):
+    """a.data[key] for any numpy index; the gradient scatters back into zeros
+    (summing over repeated indices)."""
     a = as_tensor(a)
-    n, k, d = a.data.shape
-    rows = np.arange(n)
-    out = a.data[rows, idx, :]
 
     def bwd(g):
         full = np.zeros_like(a.data)
-        full[rows, idx, :] = g
+        np.add.at(full, key, g)
         return ((a, full),)
 
-    return Tensor(out, _parents=(a,), _bwd=bwd)
+    return Tensor(a.data[key], _parents=(a,), _bwd=bwd)
 
 
 def logsumexp(a, axis, keepdims=False):
@@ -337,12 +303,6 @@ def softmax(a, axis=-1):
 def smooth_clamp(a, lo: float, hi: float):
     """Smooth monotone map of the real line onto (lo, hi) via a sigmoid."""
     return add(mul(sigmoid(a), hi - lo), lo)
-
-
-def check_finite(t: Tensor, what: str = "value"):
-    if not np.all(np.isfinite(t.data)):
-        raise NumericalError(f"non-finite {what} encountered")
-    return t
 
 
 # -- verification harness ------------------------------------------------

@@ -142,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--episodes", type=int, default=16)
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--probe", action="append", default=[],
-                   help="fixed initial coordinate (repeatable)")
+                   help="fixed initial coordinate of one of the first episodes "
+                        "(repeatable, at most --episodes)")
     e.set_defaults(fn=cmd_eval)
 
     s = sub.add_parser("scan", help="sweep initial states, log first actions")

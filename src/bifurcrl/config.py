@@ -1,6 +1,7 @@
 """Run configuration: YAML schema with exhaustive unknown-key rejection."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
@@ -21,15 +22,7 @@ TASK_KEYS = {
                   "init_low", "init_high", "reward_weights"},
 }
 
-TRAIN_KEYS = {
-    "algorithm", "seed", "iterations", "sampling_steps", "update_steps",
-    "batch_size", "buffer_capacity", "min_buffer", "gamma", "tau", "hidden",
-    "components", "lipschitz", "lr_initial", "lr_final", "lambda_initial",
-    "lambda_final", "langevin_steps", "langevin_step_size",
-    "initial_temperature", "target_entropy", "temperature_parameterization",
-    "target_sample", "scale_rev_kl_log_prob", "eval_every", "eval_episodes",
-    "checkpoint_every",
-}
+TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
 
 REWARD_WEIGHT_KEYS = {"lateral", "heading", "speed", "action", "action_rate",
                       "position", "velocity"}

@@ -7,6 +7,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .errors import ConfigError
 from .nets import MlpNetwork, copy_network
 
 SIGMA_Q_MIN = 1e-2
@@ -59,8 +60,8 @@ class CriticPair:
     def forward(self, net: MlpNetwork, states, actions) -> ValueDistribution:
         x = ad.concat([ad.as_tensor(states), ad.as_tensor(actions)], axis=1)
         raw = net(x)
-        q = ad.reshape(ad.tsum(ad.mul(raw, _pick(raw, 0)), axis=1), (-1,))
-        pre = ad.reshape(ad.tsum(ad.mul(raw, _pick(raw, 1)), axis=1), (-1,))
+        q = ad.take(raw, (slice(None), 0))
+        pre = ad.take(raw, (slice(None), 1))
         sigma = ad.smooth_clamp(pre, SIGMA_Q_MIN, SIGMA_Q_MAX)
         return ValueDistribution(q=q, sigma=sigma)
 
@@ -77,17 +78,14 @@ class CriticPair:
         return ad.minimum(q1, q2)
 
 
-def _pick(raw: Tensor, col: int) -> np.ndarray:
-    mask = np.zeros(raw.data.shape[1])
-    mask[col] = 1.0
-    return mask
-
-
 def target_value(rewards: np.ndarray, gamma: float, z_samples: np.ndarray,
                  alpha: float, logp_next: np.ndarray,
                  terminals: np.ndarray) -> np.ndarray:
     """y_z = r + gamma * (Z(x', u') - alpha * log pi(u'|x')), zeroed at terminals."""
-    assert 0.0 < gamma < 1.0 and alpha > 0.0
+    if not 0.0 < gamma < 1.0:
+        raise ConfigError(f"gamma must lie in (0, 1), got {gamma!r}")
+    if not alpha > 0.0:
+        raise ConfigError(f"temperature must be positive, got {alpha!r}")
     boot = z_samples - alpha * logp_next
     return rewards + gamma * np.where(terminals, 0.0, boot)
 

@@ -12,6 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .errors import ConfigError
 
 BOUNDARY_EPS = 1e-6
 
@@ -31,11 +32,8 @@ class ActionBounds:
     def __post_init__(self):
         self.lo = np.atleast_1d(np.asarray(self.lo, dtype=np.float64))
         self.hi = np.atleast_1d(np.asarray(self.hi, dtype=np.float64))
-        assert np.all(self.hi > self.lo)
-
-    @property
-    def dim(self):
-        return self.lo.size
+        if not np.all(self.hi > self.lo):
+            raise ConfigError(f"action bounds need hi > lo, got {self.lo} and {self.hi}")
 
     @property
     def span(self):
@@ -155,8 +153,9 @@ def gmm_sample(out: GmmPolicyOutput, rng: np.random.Generator) -> ActionSample:
     idx = (gates.cumsum(axis=1) < u[:, None]).sum(axis=1)
     idx = np.minimum(idx, out.k - 1)
     eps = rng.standard_normal((out.n, out.dim))
-    mu = ad.gather_components(out.means, idx)
-    sd = ad.gather_components(out.stds, idx)
+    rows = np.arange(out.n)
+    mu = ad.take(out.means, (rows, idx))
+    sd = ad.take(out.stds, (rows, idx))
     pre = ad.add(mu, ad.mul(sd, Tensor(eps)))
     action, _ = squash_action(pre, out.bounds)
     logp = log_prob_pre(out, pre)

@@ -24,6 +24,18 @@ def penalized_reward(r: float, h: float, penalty: float) -> float:
     return r if h <= 0.0 else r - penalty
 
 
+def rk4(f, x: np.ndarray, action: np.ndarray, dt: float) -> np.ndarray:
+    """One classic Runge-Kutta step of dx/dt = f(x, action), action held."""
+    k1 = f(x, action)
+    k2 = f(x + 0.5 * dt * k1, action)
+    k3 = f(x + 0.5 * dt * k2, action)
+    k4 = f(x + dt * k3, action)
+    out = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    if not np.all(np.isfinite(out)):
+        raise NumericalError("non-finite state after an RK4 step")
+    return out
+
+
 @dataclass
 class VehicleParams:
     """Mid-size sedan values; linear tire model."""
@@ -126,21 +138,10 @@ class VehicleEnv:
             (p.dist_front * fyf - p.dist_rear * fyr) / p.yaw_inertia,
         ])
 
-    def rk4_step(self, x: np.ndarray, action: np.ndarray) -> np.ndarray:
-        dt = self.dt
-        k1 = self.derivatives(x, action)
-        k2 = self.derivatives(x + 0.5 * dt * k1, action)
-        k3 = self.derivatives(x + 0.5 * dt * k2, action)
-        k4 = self.derivatives(x + dt * k3, action)
-        out = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(out)):
-            raise NumericalError("non-finite derivative in vehicle step")
-        return out
-
     def vehicle_step(self, state: VehicleState, action: np.ndarray) -> VehicleState:
         action = np.clip(np.asarray(action, dtype=np.float64),
                          self.bounds.lo, self.bounds.hi)
-        x = self.rk4_step(state.vector(), action)
+        x = rk4(self.derivatives, state.vector(), action, self.dt)
         other = state.other_y + self.cross_speed * self.dt \
             if self.task == "encounter" else state.other_y
         return VehicleState(*x, t=state.t + self.dt, other_y=other,
@@ -254,17 +255,6 @@ class Gap1dEnv:
     def derivatives(self, x: np.ndarray, action: np.ndarray) -> np.ndarray:
         return np.array([x[1], float(action[0])])
 
-    def rk4_step(self, x: np.ndarray, action: np.ndarray) -> np.ndarray:
-        dt = self.dt
-        k1 = self.derivatives(x, action)
-        k2 = self.derivatives(x + 0.5 * dt * k1, action)
-        k3 = self.derivatives(x + 0.5 * dt * k2, action)
-        k4 = self.derivatives(x + dt * k3, action)
-        out = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(out)):
-            raise NumericalError("non-finite derivative in gap1d step")
-        return out
-
     def constraint_h(self, state: Gap1dState) -> float:
         band = self.gap_radius - abs(state.y)
         if not (self.window[0] <= state.t <= self.window[1]):
@@ -297,7 +287,7 @@ class Gap1dEnv:
         action = np.clip(np.asarray(action, dtype=np.float64).reshape(-1),
                          self.bounds.lo, self.bounds.hi)
         r = self.reward(state, action)
-        x = self.rk4_step(state.vector(), action)
+        x = rk4(self.derivatives, state.vector(), action, self.dt)
         nxt = Gap1dState(float(x[0]), float(x[1]), t=state.t + self.dt,
                          prev_action=action)
         h = self.constraint_h(nxt)

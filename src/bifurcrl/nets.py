@@ -10,6 +10,16 @@ from .autodiff import Tensor
 from .errors import ConfigError, NumericalError
 
 
+def linear(n_in: int, n_out: int, rng: np.random.Generator, w_name: str,
+           b_name: str) -> tuple:
+    """A dense layer's (weight, bias): Glorot-normal (n_in, n_out) weight,
+    zero bias."""
+    scale = np.sqrt(2.0 / (n_in + n_out))
+    w = ad.parameter(rng.normal(0.0, scale, size=(n_in, n_out)), name=w_name)
+    b = ad.parameter(np.zeros(n_out), name=b_name)
+    return w, b
+
+
 class MlpNetwork:
     """Fully connected net: GeLU on hidden layers, identity on the output.
 
@@ -21,21 +31,12 @@ class MlpNetwork:
             raise ConfigError("MlpNetwork needs at least input and output sizes")
         self.sizes = list(sizes)
         self.name = name
-        self.layers = []
-        for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-            scale = np.sqrt(2.0 / (n_in + n_out))
-            w = ad.parameter(rng.normal(0.0, scale, size=(n_in, n_out)),
-                             name=f"{name}.w{i}")
-            b = ad.parameter(np.zeros(n_out), name=f"{name}.b{i}")
-            self.layers.append((w, b))
+        self.layers = [linear(n_in, n_out, rng, f"{name}.w{i}", f"{name}.b{i}")
+                       for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:]))]
 
     @property
     def in_dim(self):
         return self.sizes[0]
-
-    @property
-    def out_dim(self):
-        return self.sizes[-1]
 
     def parameters(self):
         out = []
@@ -43,12 +44,8 @@ class MlpNetwork:
             out.extend([w, b])
         return out
 
-    def forward(self, x, weights=None) -> Tensor:
-        """Forward pass on a (batch, in_dim) input.
-
-        `weights` optionally substitutes effective weight tensors (e.g.
-        spectrally normalized views) for the stored parameters.
-        """
+    def forward(self, x) -> Tensor:
+        """Forward pass on a (batch, in_dim) input."""
         x = ad.as_tensor(x)
         if x.data.ndim == 1:
             x = ad.reshape(x, (1, -1))
@@ -58,14 +55,13 @@ class MlpNetwork:
         h = x
         n = len(self.layers)
         for i, (w, b) in enumerate(self.layers):
-            w_eff = weights[i] if weights is not None else w
-            h = ad.add(ad.matmul(h, w_eff), b)
+            h = ad.add(ad.matmul(h, w), b)
             if i < n - 1:
                 h = ad.gelu(h)
         return h
 
-    def __call__(self, x, weights=None):
-        return self.forward(x, weights=weights)
+    def __call__(self, x):
+        return self.forward(x)
 
 
 def copy_network(net: MlpNetwork) -> MlpNetwork:
@@ -86,7 +82,9 @@ def soft_update(online_params, target_params, rate: float):
 
 @dataclass
 class LrSchedule:
-    """Linear decay from `initial` to `final` over `total_steps` updates."""
+    """Linear ramp from `initial` to `final` over `total_steps` updates,
+    then held at `final`. It drives the learning rates, the temperature
+    step and the forward-KL weight lambda."""
     initial: float
     final: float
     total_steps: int

@@ -68,13 +68,10 @@ def load_policy(raw_cfg: dict, checkpoint_path):
     """Rebuild the policy from a config and a checkpoint; returns (policy, env)."""
     raw_cfg = config_mod.validate_config(raw_cfg)
     env, cfg = config_mod.build(raw_cfg)
-    if cfg.algorithm == "continuous":
-        from .trainer import continuous_variant
-        cfg = continuous_variant(cfg)
     policy = PolicyNetwork(env.obs_dim, env.act_dim, cfg.hidden, cfg.components,
                            env.bounds, cfg.lipschitz,
                            np.random.default_rng(0), name="policy")
     loaded = load_checkpoint(checkpoint_path)
     restore_params(policy.named_parameters(), loaded)
-    policy.converge_spectral()
+    policy.restore_spectral_vectors(loaded["extra"])
     return policy, env

@@ -5,7 +5,6 @@ Update ordering per step is fixed: critic -> actor -> temperature -> targets.
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,8 +21,6 @@ from .nets import AdamState, LrSchedule, soft_update, zero_grads
 from .replay import ReplayBuffer, Transition
 
 LOG_HEADER = "iter,env_steps,avg_return,max_violation,alpha,lambda,lr,J_Z,J_pi,J_rev,J_fwd"
-
-UPDATE_PHASES = ("critic", "actor", "temperature", "targets")
 
 # lower bound on the temperature used to scale the Langevin step, so energy
 # sampling keeps mixing even when the adaptive temperature collapses
@@ -53,9 +50,6 @@ class TrainConfig:
     langevin_step_size: float = 0.03
     initial_temperature: float = 1.0
     target_entropy: float | None = None  # default: -act_dim
-    temperature_parameterization: str = "log"
-    target_sample: str = "sample"  # sample | mean: draw from Z or use its mean
-    scale_rev_kl_log_prob: bool = True
     eval_every: int = 100
     eval_episodes: int = 16
     checkpoint_every: int = 0  # 0: only final
@@ -63,6 +57,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.algorithm not in ("multimodal", "continuous"):
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
+        if self.algorithm == "continuous":
+            # the continuous baseline is the mixture algorithm with k = 1 and
+            # a zero forward-KL weight; nothing else changes
+            self.components = 1
+            self.lambda_initial = 0.0
+            self.lambda_final = 0.0
         if not 0.0 < self.gamma < 1.0:
             raise ConfigError("gamma must lie in (0, 1)")
         for name in ("iterations", "sampling_steps", "update_steps", "batch_size"):
@@ -72,16 +72,6 @@ class TrainConfig:
     @property
     def total_updates(self):
         return self.iterations * self.update_steps
-
-
-def continuous_variant(cfg: TrainConfig) -> TrainConfig:
-    """The continuous baseline is the mixture algorithm with k = 1 and a
-    zero forward-KL weight; nothing else changes."""
-    out = copy.copy(cfg)
-    out.components = 1
-    out.lambda_initial = 0.0
-    out.lambda_final = 0.0
-    return out
 
 
 @dataclass
@@ -109,9 +99,15 @@ def sweep_coord(env, state) -> float:
 def evaluate(policy: PolicyNetwork, env, n_episodes: int, rng: np.random.Generator,
              probes=None) -> EvalReport:
     """Deterministic-action rollouts; reports the undiscounted unpenalized
-    return and the maximum positive constraint value across all steps."""
+    return and the maximum positive constraint value across all steps.
+
+    Probes pin the initial coordinate of the first episodes, one each.
+    """
     episodes = []
     overrides = list(probes) if probes else []
+    if len(overrides) > n_episodes:
+        raise ConfigError(f"{len(overrides)} probes need at least as many episodes, "
+                          f"got {n_episodes}; probes replace the first episodes")
     for ep in range(n_episodes):
         override = overrides[ep] if ep < len(overrides) else None
         state = env.reset(rng, override=override)
@@ -166,8 +162,6 @@ class Trainer:
     """Off-policy actor-critic training per the fixed update ordering."""
 
     def __init__(self, env, cfg: TrainConfig):
-        if cfg.algorithm == "continuous":
-            cfg = continuous_variant(cfg)
         self.env = env
         self.cfg = cfg
         self.obs_dim = env.obs_dim
@@ -194,6 +188,7 @@ class Trainer:
                            for i in (0, 1)]
         self.opt_policy = AdamState(self.policy.parameters(), sched())
         self.alpha_schedule = sched()
+        self.lambda_schedule = LrSchedule(cfg.lambda_initial, cfg.lambda_final, total)
         h_target = cfg.target_entropy if cfg.target_entropy is not None \
             else -float(self.act_dim)
         self.temperature = Temperature(float(np.log(cfg.initial_temperature)), h_target)
@@ -235,7 +230,6 @@ class Trainer:
         batch = self.buffer.sample_batch(cfg.batch_size, self.update_rng)
         if batch is None:
             return
-        phases = []
         alpha = self.temperature.alpha
         # advance the spectral-norm warm starts once per training step
         self.policy.refresh_spectral(1)
@@ -251,10 +245,7 @@ class Trainer:
             if not np.any(m):
                 continue
             d = self.critics.target(j, batch.next_states[m], next_sample.action[m])
-            z_j = d.q.data
-            if cfg.target_sample == "sample":
-                z_j = z_j + d.sigma.data * self.update_rng.standard_normal(int(m.sum()))
-            z[m] = z_j
+            z[m] = d.q.data + d.sigma.data * self.update_rng.standard_normal(int(m.sum()))
         y = critic_mod.target_value(batch.rewards, cfg.gamma, z, alpha,
                                     logp_next, batch.terminals)
         j_z_vals = []
@@ -266,17 +257,13 @@ class Trainer:
             loss.backward()
             self.opt_critic[i].step()
             j_z_vals.append(float(loss.data))
-        phases.append("critic")
 
         # actor
-        lam = actor_mod.lambda_schedule(cfg.lambda_initial, cfg.lambda_final,
-                                        self.update_count, cfg.total_updates)
+        lam = self.lambda_schedule.at(self.update_count)
         sample = self.policy.sample(batch.states, self.update_rng)
         logp_now = sample.log_prob.data.copy()
         j_rev = actor_mod.reverse_kl_loss(self.policy, self.critics, batch.states,
-                                          alpha, self.update_rng,
-                                          scale_log_prob=cfg.scale_rev_kl_log_prob,
-                                          sample=sample)
+                                          alpha, self.update_rng, sample=sample)
         if lam > 0.0:
             # temperature-scaled step: the energy gradient is grad(Q)/alpha,
             # so a fixed step diverges as alpha shrinks; scaling by alpha
@@ -298,14 +285,11 @@ class Trainer:
         j_pi.backward()
         self.opt_policy.step()
         zero_grads(self.critics.all_parameters())
-        phases.append("actor")
 
         # temperature
         beta_alpha = self.alpha_schedule.at(self.update_count)
         self.temperature = actor_mod.temperature_update(
-            self.temperature, logp_now, beta_alpha,
-            parameterization=cfg.temperature_parameterization)
-        phases.append("temperature")
+            self.temperature, logp_now, beta_alpha)
 
         # target networks
         for i in (0, 1):
@@ -313,9 +297,6 @@ class Trainer:
                         self.critics.targets[i].parameters(), cfg.tau)
         soft_update(self.policy.parameters(), self.target_policy.parameters(),
                     cfg.tau)
-        phases.append("targets")
-
-        assert tuple(phases) == UPDATE_PHASES, "update ordering violated"
         self.update_count += 1
         self._losses = {"J_Z": float(np.mean(j_z_vals)), "J_pi": float(j_pi.data),
                         "J_rev": float(j_rev.data), "J_fwd": float(j_fwd.data)}
@@ -337,11 +318,10 @@ class Trainer:
             rng = np.random.default_rng(self.eval_rng_seed)
             self._last_eval = evaluate(self.policy, self.env,
                                        cfg.eval_episodes, rng)
-        lam = actor_mod.lambda_schedule(cfg.lambda_initial, cfg.lambda_final,
-                                        self.update_count, cfg.total_updates)
         vals = [self.iteration, self.env_steps,
                 self._last_eval.avg_return, self._last_eval.max_violation,
-                self.temperature.alpha, lam, self.opt_policy.lr,
+                self.temperature.alpha, self.lambda_schedule.at(self.update_count),
+                self.opt_policy.lr,
                 self._losses["J_Z"], self._losses["J_pi"],
                 self._losses["J_rev"], self._losses["J_fwd"]]
         return ",".join(str(v) if isinstance(v, int) else repr(float(v))
@@ -361,4 +341,5 @@ class Trainer:
         return {"log_alpha": self.temperature.log_alpha,
                 "update_count": self.update_count,
                 "env_steps": self.env_steps,
-                "iteration": self.iteration}
+                "iteration": self.iteration,
+                **self.policy.spectral_vectors()}

@@ -173,7 +173,7 @@ def test_criterion_6_bifurcation_reproduction(gap1d_multimodal):
     report(6, "bifurcated detour policy",
            ok,
            f"max adjacent action jump {jump:.3f} (needs > {0.5 * action_range}), "
-           f"max violation {rep.max_violation:.4f} over 64 episodes + 3 probes "
+           f"max violation {rep.max_violation:.4f} over 64 episodes (3 of them probes) "
            f"(needs 0), trained in {elapsed:.0f}s (budget 600s)")
 
 

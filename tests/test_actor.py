@@ -5,7 +5,7 @@ import pytest
 from bifurcrl import actor as actor_mod
 from bifurcrl import autodiff as ad
 from bifurcrl.actor import (PolicyNetwork, Temperature, energy_score,
-                            forward_kl_loss, lambda_schedule, langevin_sample,
+                            forward_kl_loss, langevin_sample,
                             policy_loss, reverse_kl_loss, temperature_update)
 from bifurcrl.autodiff import Tensor
 from bifurcrl.critic import CriticPair
@@ -296,14 +296,6 @@ class TestPolicyLoss:
             policy_loss(Tensor(np.array(0.0)), Tensor(np.array(0.0)), -0.1)
 
 
-def test_lambda_schedule_midpoint_and_ends():
-    total = 1001
-    assert lambda_schedule(1.0, 0.0, 0, total) == pytest.approx(1.0)
-    assert lambda_schedule(1.0, 0.0, 500, total) == pytest.approx(0.5)
-    assert lambda_schedule(1.0, 0.0, 1000, total) == pytest.approx(0.0)
-    assert lambda_schedule(1.0, 0.0, 5000, total) == pytest.approx(0.0)
-
-
 class TestTemperature:
     def test_zero_gap_leaves_alpha(self):
         temp = Temperature(np.log(0.5), target_entropy=-2.0)
@@ -317,32 +309,28 @@ class TestTemperature:
         out = temperature_update(temp, logp, 1e-3)
         assert out.alpha < 0.5
 
-    def test_direct_parameterization_arithmetic(self):
-        temp = Temperature(np.log(1.0), target_entropy=-1.0)
-        # E[-log pi] - H = 0.5 with beta 1e-3 -> alpha decreases by 5e-4
-        logp = np.full(8, 0.5)  # E[-logp] = -0.5, gap = -0.5 + 1 = 0.5
-        out = temperature_update(temp, logp, 1e-3, parameterization="direct")
-        assert out.alpha == pytest.approx(1.0 - 5e-4)
-
     def test_log_parameterization_matches_direct_at_alpha_one(self):
+        # gap k = E[-log pi] - H = -0.5 + 1 = 0.5; beta 1e-3. The log step
+        # is log(alpha) -= beta * k; the plain update gives 1 - beta * k
         temp = Temperature(0.0, target_entropy=-1.0)
         logp = np.full(8, 0.5)
-        a = temperature_update(temp, logp, 1e-3, parameterization="direct").alpha
-        b = temperature_update(temp, logp, 1e-3, parameterization="log").alpha
-        assert a == pytest.approx(b, abs=1e-6)
+        out = temperature_update(temp, logp, 1e-3)
+        assert out.log_alpha == pytest.approx(-5e-4, rel=1e-12)
+        assert out.alpha == pytest.approx(1.0 - 5e-4, abs=1e-6)
 
     def test_alpha_floored(self):
         temp = Temperature(np.log(1e-6), target_entropy=-1.0, floor=1e-6)
         logp = np.full(8, -100.0)
-        out = temperature_update(temp, logp, 1.0, parameterization="direct")
-        assert out.alpha >= 1e-6
+        out = temperature_update(temp, logp, 1.0)
+        assert out.alpha == pytest.approx(1e-6, rel=1e-12)
+        assert out.log_alpha == pytest.approx(np.log(1e-6), rel=1e-12)
 
     def test_rejects_bad_inputs(self):
         temp = Temperature(0.0, -1.0)
         with pytest.raises(ConfigError):
             temperature_update(temp, np.zeros(4), 0.0)
         with pytest.raises(ConfigError):
-            temperature_update(temp, np.zeros(4), 1e-3, parameterization="tanh")
+            temperature_update(temp, np.zeros(4), -1e-3)
 
 
 def test_bimodal_q_with_forward_kl_keeps_both_gates():

@@ -1,16 +1,22 @@
 """Config schema validation, run directories, and the command-line interface."""
 import json
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import bifurcrl
 from bifurcrl import runner
+from bifurcrl.checkpoint import save_checkpoint
 from bifurcrl.cli import main
 from bifurcrl.config import build, config_hash, load_config, validate_config
 from bifurcrl.errors import ConfigError
+from bifurcrl.trainer import Trainer
 
 TINY = {
     "task": {"id": "gap1d", "dt": 0.1, "horizon": 1.0},
@@ -37,6 +43,13 @@ class TestConfigSchema:
     def test_unknown_train_key_named(self):
         bad = {"task": {"id": "gap1d"}, "train": {"learning_rate": 1e-3}}
         with pytest.raises(ConfigError, match="learning_rate"):
+            validate_config(bad)
+
+    @pytest.mark.parametrize("key", ["temperature_parameterization", "target_sample",
+                                     "scale_rev_kl_log_prob"])
+    def test_removed_train_key_named(self, key):
+        bad = {"task": {"id": "gap1d"}, "train": {key: 1}}
+        with pytest.raises(ConfigError, match=key):
             validate_config(bad)
 
     def test_unknown_task_key_named(self):
@@ -94,6 +107,22 @@ class TestRunner:
         a = policy.act_deterministic(obs)
         assert a.shape == (1, env.act_dim)
         assert np.all(np.abs(a) <= env.bounds.hi)
+        # the reloaded policy acts exactly as the trained one in memory
+        trainer = Trainer(*build(validate_config(dict(TINY))))
+        for _ in range(TINY["train"]["iterations"]):
+            trainer.train_iteration()
+        rng = np.random.default_rng(0)
+        states = np.array([env.observe(env.reset(rng, override=c))
+                           for c in np.linspace(-0.4, 0.4, 81)])
+        np.testing.assert_array_equal(policy.act_deterministic(states),
+                                      trainer.policy.act_deterministic(states))
+
+    def test_load_policy_requires_spectral_vectors(self, tmp_path):
+        trainer = Trainer(*build(validate_config(dict(TINY))))
+        path = tmp_path / "no_vectors.ckpt.npz"
+        save_checkpoint(path, trainer.named_parameters(), trainer.optimizers())
+        with pytest.raises(ConfigError, match="spectral"):
+            runner.load_policy(dict(TINY), path)
 
 
 class TestCli:
@@ -109,6 +138,9 @@ class TestCli:
         out = capsys.readouterr().out
         assert "avg_return=" in out and "max_violation=" in out
         assert out.count("initial=") == 3
+        assert main(["eval", cfg, ckpt, "--episodes", "1",
+                     "--probe", "0.1", "--probe", "-0.1"]) == 1
+        assert "probes replace the first episodes" in capsys.readouterr().err
 
         csv_path = tmp_path / "scan.csv"
         assert main(["scan", cfg, ckpt, "--lo", "-0.4", "--hi", "0.4",
@@ -151,6 +183,25 @@ class TestCli:
         path.write_text(yaml.safe_dump({"obstacles": []}))
         assert main(["topo", str(path)]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("code", [
+        "ActionBounds(np.array([1.0]), np.array([-1.0]))",
+        "target_value(np.zeros(1), 1.0, np.zeros(1), 0.2, np.zeros(1), np.zeros(1, bool))",
+        "target_value(np.zeros(1), 0.9, np.zeros(1), 0.0, np.zeros(1), np.zeros(1, bool))",
+    ])
+    def test_checks_hold_under_python_O(self, code):
+        # the checks must raise, not assert: python -O strips asserts
+        script = ("import numpy as np\n"
+                  "from bifurcrl.critic import target_value\n"
+                  "from bifurcrl.distributions import ActionBounds\n"
+                  "from bifurcrl.errors import ConfigError\n"
+                  f"try:\n    {code}\nexcept ConfigError:\n    raise SystemExit(7)\n")
+        src = str(Path(bifurcrl.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 7, proc.stderr
 
     def test_gradcheck_passes(self, capsys):
         assert main(["gradcheck", "--seed", "0", "--tol", "1e-3"]) == 0

@@ -7,6 +7,7 @@ from bifurcrl import critic as critic_mod
 from bifurcrl.autodiff import Tensor
 from bifurcrl.critic import (SIGMA_Q_MAX, SIGMA_Q_MIN, CriticPair, critic_loss,
                              target_value)
+from bifurcrl.errors import ConfigError
 from bifurcrl.nets import AdamState, LrSchedule, soft_update
 
 
@@ -96,6 +97,13 @@ class TestTargetValue:
         y = target_value(np.array([1.0]), 0.9, np.array([2.0]), 1e-12,
                          np.array([-1.0]), np.array([False]))
         assert y[0] == pytest.approx(1.0 + 0.9 * 2.0, abs=1e-9)
+
+    @pytest.mark.parametrize("gamma,alpha", [(0.0, 0.2), (1.0, 0.2), (1.5, 0.2),
+                                             (0.99, 0.0), (0.99, -0.1)])
+    def test_rejects_gamma_outside_unit_interval_or_nonpositive_alpha(self, gamma, alpha):
+        with pytest.raises(ConfigError):
+            target_value(np.array([1.0]), gamma, np.array([2.0]), alpha,
+                         np.array([-1.0]), np.array([False]))
 
 
 class TestCriticLoss:

@@ -10,6 +10,7 @@ from bifurcrl.autodiff import Tensor
 from bifurcrl.distributions import (ActionBounds, GmmPolicyOutput, deterministic_action,
                                     gmm_log_prob, gmm_sample, squash_action,
                                     unsquash_action)
+from bifurcrl.errors import ConfigError
 
 
 def make_output(gates, means, stds, bounds=None):
@@ -142,6 +143,12 @@ def test_argmax_invariant_under_monotone_gate_rescaling(scale):
     a = deterministic_action(make_output(gates, means, stds))
     b = deterministic_action(make_output(mono, means, stds))
     np.testing.assert_allclose(a, b)
+
+
+@pytest.mark.parametrize("lo,hi", [(1.0, 1.0), (1.0, -1.0), ([-1.0, 2.0], [1.0, 2.0])])
+def test_action_bounds_reject_empty_box(lo, hi):
+    with pytest.raises(ConfigError, match="hi > lo"):
+        ActionBounds(np.array(lo), np.array(hi))
 
 
 class TestSquash:

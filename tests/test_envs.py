@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bifurcrl import envs
 from bifurcrl.envs import (Gap1dEnv, VehicleEnv, VehicleState, make_env,
                            penalized_reward)
 from bifurcrl.errors import ConfigError
@@ -55,7 +56,7 @@ class TestVehicleDynamics:
         env = VehicleEnv(task="bypass", dt=0.005)
         x = np.array([0.0, 0.5, 0.05, 5.0, 0.1, 0.02])
         action = np.array([0.1, 0.5])
-        rk4 = env.rk4_step(x, action)
+        rk4 = envs.rk4(env.derivatives, x, action, env.dt)
         fine = x.copy()
         sub = env.dt / 100.0
         for _ in range(100):

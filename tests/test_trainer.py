@@ -5,7 +5,7 @@ import pytest
 from bifurcrl.envs import Gap1dEnv
 from bifurcrl.errors import ConfigError
 from bifurcrl.trainer import (LOG_HEADER, TrainConfig, Trainer, bifurcation_scan,
-                              continuous_variant, evaluate, scan_csv)
+                              evaluate, scan_csv)
 
 
 def tiny_config(**over):
@@ -30,12 +30,13 @@ def test_total_updates():
 
 
 def test_continuous_variant_only_changes_mixture_and_weight():
-    cfg = tiny_config()
-    cont = continuous_variant(cfg)
+    over = dict(components=3, lambda_initial=0.7, lambda_final=0.2)
+    cfg = tiny_config(**over)
+    cont = tiny_config(algorithm="continuous", **over)
     assert cont.components == 1
     assert cont.lambda_initial == 0.0 and cont.lambda_final == 0.0
     for key in vars(cfg):
-        if key in ("components", "lambda_initial", "lambda_final"):
+        if key in ("algorithm", "components", "lambda_initial", "lambda_final"):
             continue
         assert getattr(cont, key) == getattr(cfg, key)
 
@@ -92,6 +93,12 @@ def test_evaluate_episode_count_and_probes():
     assert rep.max_violation >= 0.0
     assert rep.avg_return == pytest.approx(
         np.mean([e.ret for e in rep.episodes]))
+
+
+def test_evaluate_rejects_more_probes_than_episodes():
+    tr = Trainer(Gap1dEnv(), tiny_config())
+    with pytest.raises(ConfigError, match="probes replace the first episodes"):
+        evaluate(tr.policy, tr.env, 1, np.random.default_rng(0), probes=[0.1, -0.1])
 
 
 def test_evaluate_is_deterministic_given_rng_seed():
