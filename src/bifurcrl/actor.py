@@ -155,6 +155,27 @@ def energy_score(critic: CriticPair, states, actions, alpha: float) -> Tensor:
     return ad.mul(critic.q_min(states, actions), 1.0 / alpha)
 
 
+def energy_grad_fn(critic, states, bounds: ActionBounds | None, alpha: float):
+    """grad(pre): the gradient of sum(energy_score) at the squashed `pre`,
+    with respect to `pre`. A CriticPair takes the tape-free path; any other
+    critic is backpropagated through its q_min."""
+    if alpha <= 0:
+        raise ConfigError("temperature must be positive")
+    if not isinstance(critic, CriticPair):
+        def grad(pre):
+            u = Tensor(pre, requires_grad=True)
+            ad.tsum(energy_score(critic, states, dist.squash(u, bounds), alpha)).backward()
+            return u.grad
+        return grad
+    q_grad = critic.q_min_action_grad_fn(states)
+
+    def grad(pre):
+        action, vjp = dist.squash_vjp(pre, bounds)
+        return vjp(q_grad(action, 1.0 / alpha))
+
+    return grad
+
+
 def langevin_sample(critic: CriticPair, policy: PolicyNetwork, states: np.ndarray,
                     alpha: float, n_steps: int, step_size: float,
                     rng: np.random.Generator, noise_scale: float = 1.0):
@@ -175,12 +196,9 @@ def langevin_sample(critic: CriticPair, policy: PolicyNetwork, states: np.ndarra
     mixed = np.arange(pre.shape[0]) % 2 == 1
     pre[mixed] = broad[mixed]
     restarts = 0
+    grad = energy_grad_fn(critic, states, policy.bounds, alpha)
     for _ in range(n_steps):
-        u = Tensor(pre, requires_grad=True)
-        action, _ = dist.squash_action(u, policy.bounds)
-        e = ad.tsum(energy_score(critic, states, action, alpha))
-        e.backward()
-        g = u.grad
+        g = grad(pre)
         bad = ~np.all(np.isfinite(g), axis=1)
         if np.any(bad):
             restarts += int(bad.sum())
@@ -189,8 +207,7 @@ def langevin_sample(critic: CriticPair, policy: PolicyNetwork, states: np.ndarra
             g[bad] = 0.0
         noise = rng.standard_normal(pre.shape)
         pre = pre + step_size * g + noise_scale * np.sqrt(2.0 * step_size) * noise
-    final, _ = dist.squash_action(Tensor(pre), policy.bounds)
-    return final.data, restarts
+    return dist.squash(Tensor(pre), policy.bounds).data, restarts
 
 
 def reverse_kl_loss(policy: PolicyNetwork, critic: CriticPair, states,
@@ -201,8 +218,7 @@ def reverse_kl_loss(policy: PolicyNetwork, critic: CriticPair, states,
     """
     if sample is None:
         sample = policy.sample(states, rng)
-    action, _ = dist.squash_action(sample.pre_action, policy.bounds)
-    q = critic.q_min(states, action)
+    q = critic.q_min(states, dist.squash(sample.pre_action, policy.bounds))
     logp = ad.mul(sample.log_prob, alpha)
     return ad.tmean(ad.sub(logp, q))
 

@@ -40,7 +40,12 @@ class Tensor:
     def __init__(self, data, requires_grad=False, _parents=(), _bwd=None, name=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
+        if not requires_grad:
+            for p in _parents:
+                if p.requires_grad:
+                    requires_grad = True
+                    break
+        self.requires_grad = requires_grad
         self._parents = _parents
         self._bwd = _bwd
         self.name = name
@@ -68,36 +73,36 @@ class Tensor:
             if self.data.size != 1:
                 raise ValueError("backward() without seed requires a scalar output")
             seed = np.ones_like(self.data)
+        # nodes hash by identity, so they key the sets and dicts directly
         topo, seen = [], set()
         stack = [(self, False)]
         while stack:
             node, done = stack.pop()
-            if id(node) in seen:
+            if node in seen:
                 continue
             if done:
-                seen.add(id(node))
+                seen.add(node)
                 topo.append(node)
                 continue
             stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen and p.requires_grad:
-                    stack.append((p, False))
-        grads = {id(self): np.asarray(seed, dtype=np.float64)}
+            stack.extend((p, False) for p in node._parents
+                         if p.requires_grad and p not in seen)
+        grads = {self: np.asarray(seed, dtype=np.float64)}
         for node in reversed(topo):
-            g = grads.pop(id(node), None)
+            g = grads.pop(node, None)
             if g is None:
                 continue
-            if node._bwd is not None:
-                for parent, pg in node._bwd(g):
-                    if not parent.requires_grad:
-                        continue
+            if node._bwd is None:
+                if node.requires_grad:
+                    node.grad = g if node.grad is None else node.grad + g
+                continue
+            for parent, pg in node._bwd(g):
+                if not parent.requires_grad:
+                    continue
+                if pg.shape != parent.data.shape:
                     pg = _unbroadcast(pg, parent.data.shape)
-                    if id(parent) in grads:
-                        grads[id(parent)] = grads[id(parent)] + pg
-                    else:
-                        grads[id(parent)] = pg
-            elif node.requires_grad:
-                node.grad = g if node.grad is None else node.grad + g
+                prev = grads.get(parent)
+                grads[parent] = pg if prev is None else prev + pg
 
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
@@ -196,15 +201,30 @@ def tanh(a):
     return Tensor(out, _parents=(a,), _bwd=lambda g: ((a, g * (1.0 - out * out)),))
 
 
+def gelu_parts(x: np.ndarray):
+    """(x * Phi(x), its derivative) with the exact-erf normal CDF Phi.
+
+    In place on two buffers, the same IEEE operations as the plain
+    expressions phi = 0.5 * (1 + erf(x / sqrt 2)) and
+    phi + x * pdf(x), pdf(x) = exp(-0.5 * x * x) / sqrt(2 pi)."""
+    phi = np.divide(x, _SQRT2, out=np.empty_like(x))
+    _erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
+    slope = np.multiply(x, -0.5, out=np.empty_like(x))
+    slope *= x
+    np.exp(slope, out=slope)
+    slope *= _INV_SQRT_2PI
+    slope *= x
+    slope += phi
+    return x * phi, slope
+
+
 def gelu(a):
     """x * Phi(x) with the exact-erf normal CDF."""
     a = as_tensor(a)
-    x = a.data
-    phi = 0.5 * (1.0 + _erf(x / _SQRT2))
-    out = x * phi
-    pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    return Tensor(out, _parents=(a,),
-                  _bwd=lambda g: ((a, g * (phi + x * pdf)),))
+    out, slope = gelu_parts(a.data)
+    return Tensor(out, _parents=(a,), _bwd=lambda g: ((a, g * slope),))
 
 
 def sigmoid(a):

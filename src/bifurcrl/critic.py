@@ -77,6 +77,38 @@ class CriticPair:
         q2 = self.online(1, states, actions).q
         return ad.minimum(q1, q2)
 
+    def q_min_action_grad_fn(self, states):
+        """grad(actions, scale): the gradient of sum(scale * q_min(states,
+        actions)) with respect to the actions, without a tape. It is all the
+        Langevin chain needs of the critics.
+
+        The twins run as one stack of weights, (2, in, out), copied when this
+        is called; np.matmul multiplies each slice with the same BLAS call
+        as the tape's matmul, so grad equals backpropagating q_min bit for
+        bit while the weights stay unchanged."""
+        layers = list(zip(*(net.layers for net in self.nets)))
+        ws = [np.stack([w1.data, w2.data]) for (w1, _), (w2, _) in layers]
+        bs = [np.stack([b1.data, b2.data])[:, None, :] for (_, b1), (_, b2) in layers]
+        states = np.asarray(states, dtype=np.float64)
+
+        def grad(actions: np.ndarray, scale: float) -> np.ndarray:
+            h, slopes = np.concatenate([states, actions], axis=1), []
+            for w, b in zip(ws[:-1], bs[:-1]):
+                h, slope = ad.gelu_parts(h @ w + b)
+                slopes.append(slope)
+            raw = h @ ws[-1] + bs[-1]  # (2, batch, [q, pre-std])
+            first = raw[0, :, 0] <= raw[1, :, 0]
+            g = np.full(len(first), scale)
+            g_raw = np.zeros_like(raw)
+            g_raw[0, :, 0] = np.where(first, g, 0.0)
+            g_raw[1, :, 0] = np.where(first, 0.0, g)
+            for w, slope in zip(ws[:0:-1], slopes[::-1]):
+                g_raw = (g_raw @ w.transpose(0, 2, 1)) * slope
+            g_x = g_raw @ ws[0].transpose(0, 2, 1)
+            return g_x[0, :, self.obs_dim:] + g_x[1, :, self.obs_dim:]
+
+        return grad
+
 
 def target_value(rewards: np.ndarray, gamma: float, z_samples: np.ndarray,
                  alpha: float, logp_next: np.ndarray,

@@ -87,16 +87,36 @@ def squash_action(pre, bounds: ActionBounds | None):
     Jacobian is span/2 * (1 - tanh(p)^2); log_det sums the logs over the
     action dimension. With bounds=None the map is the identity (log_det 0).
     """
+    return squash(pre, bounds), squash_log_det(pre, bounds)
+
+
+def squash(pre, bounds: ActionBounds | None) -> Tensor:
+    """The action half of squash_action."""
     pre = ad.as_tensor(pre)
     if bounds is None:
-        zeros = Tensor(np.zeros(pre.data.shape[:-1]))
-        return pre, zeros
-    t = ad.tanh(pre)
-    action = ad.add(ad.mul(ad.add(t, 1.0), bounds.span / 2.0), bounds.lo)
+        return pre
+    return ad.add(ad.mul(ad.add(ad.tanh(pre), 1.0), bounds.span / 2.0), bounds.lo)
+
+
+def squash_log_det(pre, bounds: ActionBounds | None) -> Tensor:
+    """The log_det half of squash_action."""
+    pre = ad.as_tensor(pre)
+    if bounds is None:
+        return Tensor(np.zeros(pre.data.shape[:-1]))
     # log(1 - tanh(p)^2) = 2*(log 2 - p - softplus(-2p)), stable for large |p|
     log_dtanh = ad.mul(ad.sub(ad.sub(Tensor(np.log(2.0)), pre), softplus_neg2(pre)), 2.0)
-    log_det = ad.tsum(ad.add(log_dtanh, np.log(bounds.span / 2.0)), axis=-1)
-    return action, log_det
+    return ad.tsum(ad.add(log_dtanh, np.log(bounds.span / 2.0)), axis=-1)
+
+
+def squash_vjp(pre: np.ndarray, bounds: ActionBounds | None):
+    """Tape-free squash_action on an array: (action, vjp), where vjp(g) is
+    the gradient of sum(g * action) with respect to pre, bit for bit as
+    the tape computes it."""
+    if bounds is None:
+        return pre, lambda g: g
+    t = np.tanh(pre)
+    half = bounds.span / 2.0
+    return (t + 1.0) * half + bounds.lo, lambda g: g * half * (1.0 - t * t)
 
 
 def softplus_neg2(p):
@@ -130,8 +150,7 @@ def log_prob_pre(out: GmmPolicyOutput, pre) -> Tensor:
                    axis=2)  # (n, k)
     weighted = ad.add(ad.log(out.gates), comp)
     mix = ad.logsumexp(weighted, axis=1)
-    _, log_det = squash_action(pre, out.bounds)
-    return ad.sub(mix, log_det)
+    return ad.sub(mix, squash_log_det(pre, out.bounds))
 
 
 def gmm_log_prob(out: GmmPolicyOutput, action) -> Tensor:
@@ -157,7 +176,7 @@ def gmm_sample(out: GmmPolicyOutput, rng: np.random.Generator) -> ActionSample:
     mu = ad.take(out.means, (rows, idx))
     sd = ad.take(out.stds, (rows, idx))
     pre = ad.add(mu, ad.mul(sd, Tensor(eps)))
-    action, _ = squash_action(pre, out.bounds)
+    action = squash(pre, out.bounds)
     logp = log_prob_pre(out, pre)
     return ActionSample(action=action.data.copy(), log_prob=logp,
                         component_index=idx, pre_action=pre)
@@ -168,5 +187,5 @@ def deterministic_action(out: GmmPolicyOutput) -> np.ndarray:
     idx = np.argmax(out.gates.data, axis=1)
     rows = np.arange(out.n)
     mu = out.means.data[rows, idx, :]
-    action, _ = squash_action(Tensor(mu), out.bounds)
+    action = squash(Tensor(mu), out.bounds)
     return action.data.copy()

@@ -171,12 +171,12 @@ class SpectralNormalizer:
         v = None
         for _ in range(iters):
             v = a.T @ u
-            nv = np.linalg.norm(v)
+            nv = np.sqrt(v.dot(v))  # np.linalg.norm, without its overhead
             if nv == 0.0:
                 return 0.0, u, np.zeros(a.shape[1])
             v = v / nv
             u = a @ v
-            nu = np.linalg.norm(u)
+            nu = np.sqrt(u.dot(u))
             if nu == 0.0:
                 return 0.0, u, v
             u = u / nu

@@ -10,8 +10,10 @@ from bifurcrl.actor import (PolicyNetwork, Temperature, energy_score,
 from bifurcrl.autodiff import Tensor
 from bifurcrl.critic import CriticPair
 from bifurcrl.distributions import ActionBounds
+from bifurcrl.envs import Gap1dEnv
 from bifurcrl.errors import ConfigError
 from bifurcrl.nets import AdamState, LrSchedule
+from bifurcrl.trainer import TrainConfig, Trainer
 
 
 OBS, ACT = 3, 2
@@ -165,6 +167,25 @@ class TestLangevin:
         assert abs(out[:, 0].var() - target_var) < 0.10 * target_var
         assert abs(out[:, 1].var() - target_var) < 0.10 * target_var
 
+    def test_tape_free_chain_equals_tape_chain(self):
+        # a stand-in that is not a CriticPair takes energy_grad_fn's tape path
+        class TapeOnly:
+            def q_min(self, states, actions):
+                return critics.q_min(states, actions)
+
+        critics = make_critics(3, hidden=(16, 16))
+        pol = make_policy(2)
+        states = np.random.default_rng(0).normal(size=(16, OBS))
+        fast, _ = langevin_sample(critics, pol, states, 0.4, 5, 0.05,
+                                  np.random.default_rng(9))
+        slow, _ = langevin_sample(TapeOnly(), pol, states, 0.4, 5, 0.05,
+                                  np.random.default_rng(9))
+        np.testing.assert_array_equal(fast, slow)
+
+    def test_energy_grad_fn_rejects_nonpositive_alpha(self):
+        with pytest.raises(ConfigError):
+            actor_mod.energy_grad_fn(make_critics(), np.zeros((1, OBS)), None, 0.0)
+
 
 class TestReverseKl:
     def test_single_term_arithmetic(self):
@@ -294,6 +315,18 @@ class TestPolicyLoss:
     def test_rejects_negative_lambda(self):
         with pytest.raises(ConfigError):
             policy_loss(Tensor(np.array(0.0)), Tensor(np.array(0.0)), -0.1)
+
+
+def test_lambda_schedule_midpoint_and_ends():
+    # the trainer ramps the forward-KL weight from lambda_initial to
+    # lambda_final over all updates, then holds it
+    cfg = TrainConfig(iterations=1001, update_steps=1, lambda_initial=1.0,
+                      lambda_final=0.0, hidden=(8, 8), buffer_capacity=100)
+    lam = Trainer(Gap1dEnv(), cfg).lambda_schedule
+    assert lam.at(0) == pytest.approx(1.0)
+    assert lam.at(500) == pytest.approx(0.5)
+    assert lam.at(1000) == pytest.approx(0.0)
+    assert lam.at(5000) == pytest.approx(0.0)
 
 
 class TestTemperature:

@@ -19,6 +19,16 @@ def test_gelu_fixed_points():
     assert abs(float(ad.gelu(Tensor(1.0)).data) - 0.84134) < 5e-6
 
 
+def test_gelu_parts_equal_plain_expressions_bit_for_bit():
+    x = np.concatenate([3.0 * np.random.default_rng(0).normal(size=50),
+                        [0.0, -0.0, 40.0, -40.0]])
+    phi = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+    pdf = (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x * x)
+    out, slope = ad.gelu_parts(x)
+    np.testing.assert_array_equal(out, x * phi)
+    np.testing.assert_array_equal(slope, phi + x * pdf)
+
+
 def test_quadratic_loss_gradcheck_exact():
     p = ad.parameter(np.array([0.3, -1.2, 2.0]))
 

@@ -81,6 +81,19 @@ def test_q_min_is_elementwise_minimum():
     np.testing.assert_allclose(pair.q_min(s, a).data, np.minimum(q1, q2))
 
 
+def test_q_min_action_grad_fn_equals_tape_bit_for_bit():
+    pair = make_pair(6, hidden=(16, 16))
+    rng = np.random.default_rng(4)
+    s = rng.normal(size=(32, 3))
+    a = rng.normal(size=(32, 2))
+    first = pair.online(0, s, a).q.data <= pair.online(1, s, a).q.data
+    assert first.any() and not first.all()  # both critics pick some rows
+    at = Tensor(a, requires_grad=True)
+    ad.tsum(ad.mul(pair.q_min(s, at), 1.0 / 0.3)).backward()
+    grad = pair.q_min_action_grad_fn(s)
+    np.testing.assert_array_equal(grad(a, 1.0 / 0.3), at.grad)
+
+
 class TestTargetValue:
     def test_arithmetic_example(self):
         y = target_value(np.array([1.0]), 0.99, np.array([2.0]), 0.2,

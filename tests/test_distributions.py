@@ -184,6 +184,27 @@ class TestSquash:
         assert log_det.data[0] == pytest.approx(2.0 * (np.log(2.0) - 30.0),
                                                 rel=1e-9)
 
+    def test_halves_match_squash_action(self):
+        bounds = ActionBounds(np.array([-1.0, 0.0]), np.array([2.0, 0.5]))
+        pre = Tensor(3.0 * np.random.default_rng(0).normal(size=(6, 2)))
+        action, log_det = squash_action(pre, bounds)
+        np.testing.assert_array_equal(dist.squash(pre, bounds).data, action.data)
+        np.testing.assert_array_equal(dist.squash_log_det(pre, bounds).data,
+                                      log_det.data)
+
+    @pytest.mark.parametrize("bounded", [True, False])
+    def test_squash_vjp_equals_tape_bit_for_bit(self, bounded):
+        bounds = ActionBounds(np.array([-1.0, 0.0]), np.array([2.0, 0.5])) \
+            if bounded else None
+        rng = np.random.default_rng(1)
+        pre = 3.0 * rng.normal(size=(6, 2))
+        g = rng.normal(size=(6, 2))
+        u = Tensor(pre, requires_grad=True)
+        ad.tsum(ad.mul(dist.squash(u, bounds), Tensor(g))).backward()
+        action, vjp = dist.squash_vjp(pre, bounds)
+        np.testing.assert_array_equal(action, dist.squash(pre, bounds).data)
+        np.testing.assert_array_equal(vjp(g), u.grad)
+
     @settings(max_examples=50, deadline=None)
     @given(st.floats(-5.0, 5.0))
     def test_unsquash_inverts_squash(self, p):
