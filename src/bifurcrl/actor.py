@@ -72,20 +72,19 @@ class PolicyNetwork:
         for mine, theirs in zip(self._params, other._params):
             mine.data[...] = theirs.data
 
-    def forward(self, states, power_iters: int = 1) -> GmmPolicyOutput:
+    def forward(self, states) -> GmmPolicyOutput:
         x = ad.as_tensor(np.atleast_2d(np.asarray(states, dtype=np.float64)))
         if x.data.shape[1] != self.obs_dim:
             raise ConfigError(
                 f"{self.name}: observation width {x.data.shape[1]} != {self.obs_dim}")
         norms = iter(self._normalizers)
 
-        def dense(h, layer):
-            w_eff = next(norms).effective_weight(power_iters)
-            return ad.add(ad.matmul(h, w_eff), layer[1])
+        def dense(h, layer, gelu=False):
+            return ad.dense(h, next(norms).effective_weight(), layer[1], gelu)
 
         h = x
         for layer in self.trunk:
-            h = ad.gelu(dense(h, layer))
+            h = dense(h, layer, gelu=True)
         n = h.data.shape[0]
         gates = ad.softmax(dense(h, self.head_gate), axis=1)
         means = ad.reshape(dense(h, self.head_mean), (n, self.k, self.act_dim))
@@ -93,8 +92,8 @@ class PolicyNetwork:
         stds = ad.exp(ad.smooth_clamp(pre_std, LOG_STD_MIN, LOG_STD_MAX))
         return GmmPolicyOutput(gates=gates, means=means, stds=stds, bounds=self.bounds)
 
-    def sample(self, states, rng, power_iters: int = 1):
-        return dist.gmm_sample(self.forward(states, power_iters), rng)
+    def sample(self, states, rng):
+        return dist.gmm_sample(self.forward(states), rng)
 
     def act_deterministic(self, states) -> np.ndarray:
         return dist.deterministic_action(self.forward(states))
@@ -167,11 +166,11 @@ def energy_grad_fn(critic, states, bounds: ActionBounds | None, alpha: float):
             ad.tsum(energy_score(critic, states, dist.squash(u, bounds), alpha)).backward()
             return u.grad
         return grad
-    q_grad = critic.q_min_action_grad_fn(states)
 
     def grad(pre):
         action, vjp = dist.squash_vjp(pre, bounds)
-        return vjp(q_grad(action, 1.0 / alpha))
+        _, q_vjp = critic.q_min_vjp(states, action)
+        return vjp(q_vjp(np.full(len(pre), 1.0 / alpha)))
 
     return grad
 

@@ -220,6 +220,27 @@ def gelu_parts(x: np.ndarray):
     return x * phi, slope
 
 
+def dense_parts(x: np.ndarray, w: np.ndarray, b: np.ndarray, gelu: bool):
+    """(gelu(x @ w + b), its slope), or (x @ w + b, None). Also runs stacked
+    layers, (2, in, out) weights with (2, 1, out) biases: np.matmul makes one
+    BLAS call per slice, so each slice equals its own layer bit for bit."""
+    z = x @ w + b
+    return gelu_parts(z) if gelu else (z, None)
+
+
+def dense(x: Tensor, w: Tensor, b: Tensor, gelu=False):
+    """One node for a dense layer, with the same IEEE operations, forward and
+    backward, as the matmul, add and gelu nodes it stands for."""
+    out, slope = dense_parts(x.data, w.data, b.data, gelu)
+
+    def bwd(g):
+        g = g if slope is None else g * slope
+        grads = ((w, x.data.T @ g), (b, g.sum(axis=0)))
+        return ((x, g @ w.data.T),) + grads if x.requires_grad else grads
+
+    return Tensor(out, _parents=(x, w, b), _bwd=bwd)
+
+
 def gelu(a):
     """x * Phi(x) with the exact-erf normal CDF."""
     a = as_tensor(a)

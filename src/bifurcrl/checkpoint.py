@@ -7,6 +7,8 @@ because float64 payloads are stored verbatim.
 """
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .errors import ConfigError
@@ -16,10 +18,14 @@ FORMAT_VERSION = 1
 
 def save_checkpoint(path, named_params: dict, optimizers: dict | None = None,
                     extra: dict | None = None):
-    """Write named parameter arrays (and optional Adam states) to `path`.
+    """Write named parameter arrays (and optional Adam states) to `path`
+    (with '.npz' appended when missing, as np.savez does).
 
     `named_params` maps name -> Tensor; `optimizers` maps name -> AdamState.
     `extra` holds additional scalar/array entries (e.g. log-temperature).
+    The archive is written to a temporary file beside `path` and then
+    renamed onto it, so an interrupted save leaves the previous checkpoint
+    intact.
     """
     payload = {"meta/format_version": np.int64(FORMAT_VERSION)}
     for name, p in named_params.items():
@@ -33,7 +39,18 @@ def save_checkpoint(path, named_params: dict, optimizers: dict | None = None,
     if extra:
         for k, v in extra.items():
             payload[f"extra/{k}"] = np.asarray(v)
-    np.savez(path, **payload)
+    path = os.fspath(path)
+    if not path.endswith(".npz"):
+        path += ".npz"
+    tmp = path + ".tmp"
+    try:
+        # a file handle, because np.savez appends '.npz' to a bare name
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **payload)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the save failed before the rename
+            os.remove(tmp)
 
 
 def load_checkpoint(path) -> dict:

@@ -42,6 +42,13 @@ class CriticPair:
         frac = (SIGMA_Q_INIT - SIGMA_Q_MIN) / (SIGMA_Q_MAX - SIGMA_Q_MIN)
         for net in self.nets:
             net.layers[-1][1].data[1] = float(np.log(frac / (1.0 - frac)))
+        # per layer, (2, in, out) weights and (2, 1, out) biases; the twins'
+        # parameters are views into them, and every writer works in place
+        self.stack = [(np.stack([w1.data, w2.data]), np.stack([b1.data, b2.data])[:, None])
+                      for (w1, b1), (w2, b2) in zip(*(net.layers for net in self.nets))]
+        for i, net in enumerate(self.nets):
+            for (w, b), (ws, bs) in zip(net.layers, self.stack):
+                w.data, b.data = ws[i], bs[i, 0]
         self.targets = [copy_network(n) for n in self.nets]
 
     def parameters(self, i: int):
@@ -72,42 +79,33 @@ class CriticPair:
         return self.forward(self.targets[i], states, actions)
 
     def q_min(self, states, actions) -> Tensor:
-        """Conservative aggregate used by the actor: min of the two means."""
-        q1 = self.online(0, states, actions).q
-        q2 = self.online(1, states, actions).q
-        return ad.minimum(q1, q2)
+        """Conservative aggregate used by the actor: min of the two means.
+        One node, differentiable in the actions only."""
+        actions = ad.as_tensor(actions)
+        q, vjp = self.q_min_vjp(states, actions.data)
+        return Tensor(q, _parents=(actions,), _bwd=lambda g: ((actions, vjp(g)),))
 
-    def q_min_action_grad_fn(self, states):
-        """grad(actions, scale): the gradient of sum(scale * q_min(states,
-        actions)) with respect to the actions, without a tape. It is all the
-        Langevin chain needs of the critics.
+    def q_min_vjp(self, states: np.ndarray, actions: np.ndarray):
+        """(q_min, vjp): the smaller twin mean per row and vjp(g), the gradient
+        of sum(g * q_min) in the actions, both on the stacks and bit for bit
+        the per-twin tape's."""
+        h, slopes = np.concatenate([states, actions], axis=1), []
+        for w, b in self.stack[:-1]:
+            h, slope = ad.dense_parts(h, w, b, True)
+            slopes.append(slope)
+        raw, _ = ad.dense_parts(h, *self.stack[-1], False)  # (2, batch, [q, pre-std])
+        first = raw[0, :, 0] <= raw[1, :, 0]
 
-        The twins run as one stack of weights, (2, in, out), copied when this
-        is called; np.matmul multiplies each slice with the same BLAS call
-        as the tape's matmul, so grad equals backpropagating q_min bit for
-        bit while the weights stay unchanged."""
-        layers = list(zip(*(net.layers for net in self.nets)))
-        ws = [np.stack([w1.data, w2.data]) for (w1, _), (w2, _) in layers]
-        bs = [np.stack([b1.data, b2.data])[:, None, :] for (_, b1), (_, b2) in layers]
-        states = np.asarray(states, dtype=np.float64)
-
-        def grad(actions: np.ndarray, scale: float) -> np.ndarray:
-            h, slopes = np.concatenate([states, actions], axis=1), []
-            for w, b in zip(ws[:-1], bs[:-1]):
-                h, slope = ad.gelu_parts(h @ w + b)
-                slopes.append(slope)
-            raw = h @ ws[-1] + bs[-1]  # (2, batch, [q, pre-std])
-            first = raw[0, :, 0] <= raw[1, :, 0]
-            g = np.full(len(first), scale)
+        def vjp(g):
             g_raw = np.zeros_like(raw)
             g_raw[0, :, 0] = np.where(first, g, 0.0)
             g_raw[1, :, 0] = np.where(first, 0.0, g)
-            for w, slope in zip(ws[:0:-1], slopes[::-1]):
+            for (w, _), slope in zip(self.stack[:0:-1], slopes[::-1]):
                 g_raw = (g_raw @ w.transpose(0, 2, 1)) * slope
-            g_x = g_raw @ ws[0].transpose(0, 2, 1)
+            g_x = g_raw @ self.stack[0][0].transpose(0, 2, 1)
             return g_x[0, :, self.obs_dim:] + g_x[1, :, self.obs_dim:]
 
-        return grad
+        return np.where(first, raw[0, :, 0], raw[1, :, 0]), vjp
 
 
 def target_value(rewards: np.ndarray, gamma: float, z_samples: np.ndarray,

@@ -7,6 +7,7 @@ coordinate, with the exact log-Jacobian correction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,9 +76,15 @@ class GmmPolicyOutput:
 @dataclass
 class ActionSample:
     action: np.ndarray
-    log_prob: Tensor
     component_index: np.ndarray
     pre_action: Tensor
+    out: GmmPolicyOutput
+
+    @cached_property
+    def log_prob(self) -> Tensor:
+        """Log density of the action, built on first read (collection and
+        the Langevin chain never read it)."""
+        return log_prob_pre(self.out, self.pre_action)
 
 
 def squash_action(pre, bounds: ActionBounds | None):
@@ -176,10 +183,7 @@ def gmm_sample(out: GmmPolicyOutput, rng: np.random.Generator) -> ActionSample:
     mu = ad.take(out.means, (rows, idx))
     sd = ad.take(out.stds, (rows, idx))
     pre = ad.add(mu, ad.mul(sd, Tensor(eps)))
-    action = squash(pre, out.bounds)
-    logp = log_prob_pre(out, pre)
-    return ActionSample(action=action.data.copy(), log_prob=logp,
-                        component_index=idx, pre_action=pre)
+    return ActionSample(squash(pre, out.bounds).data.copy(), idx, pre, out)
 
 
 def deterministic_action(out: GmmPolicyOutput) -> np.ndarray:

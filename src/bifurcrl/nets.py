@@ -52,13 +52,9 @@ class MlpNetwork:
         if x.data.shape[1] != self.in_dim:
             raise ConfigError(
                 f"{self.name}: input width {x.data.shape[1]} != {self.in_dim}")
-        h = x
-        n = len(self.layers)
         for i, (w, b) in enumerate(self.layers):
-            h = ad.add(ad.matmul(h, w), b)
-            if i < n - 1:
-                h = ad.gelu(h)
-        return h
+            x = ad.dense(x, w, b, gelu=i < len(self.layers) - 1)
+        return x
 
     def __call__(self, x):
         return self.forward(x)
@@ -165,7 +161,7 @@ class SpectralNormalizer:
         Call refresh() to advance the persistent warm-start vector.
         """
         if iters < 1:
-            raise ConfigError("power_iters must be >= 1")
+            raise ConfigError("power iteration needs iters >= 1")
         a = self.weight.data
         u = self.u
         v = None
@@ -198,10 +194,3 @@ class SpectralNormalizer:
         sigma_t = ad.reshape(ad.matmul(ad.matmul(u_t, self.weight), v_t), ())
         scale = ad.div(Tensor(self.budget), sigma_t)
         return ad.mul(self.weight, scale)
-
-    def top_singular_value(self, iters: int = 30) -> float:
-        """Singular value of the *effective* weight after clipping."""
-        sigma, _, _ = self.power_iterate(iters)
-        if sigma <= self.budget or sigma == 0.0:
-            return sigma
-        return self.budget

@@ -5,7 +5,8 @@ Update ordering per step is fixed: critic -> actor -> temperature -> targets.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -25,6 +26,10 @@ LOG_HEADER = "iter,env_steps,avg_return,max_violation,alpha,lambda,lr,J_Z,J_pi,J
 # lower bound on the temperature used to scale the Langevin step, so energy
 # sampling keeps mixing even when the adaptive temperature collapses
 LANGEVIN_ALPHA_FLOOR = 0.05
+
+
+# the numeric kinds of TrainConfig's fields, by their declared type
+_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a real number")}
 
 
 @dataclass
@@ -55,6 +60,18 @@ class TrainConfig:
     checkpoint_every: int = 0  # 0: only final
 
     def __post_init__(self):
+        # a value of the wrong kind fails here, named, not deep in training
+        # (PyYAML reads 1e-3, written without a dot, as a string)
+        for f in fields(self):
+            kind = _KINDS.get(f.type.removesuffix(" | None"))
+            value = getattr(self, f.name)
+            if kind is None or (value is None and f.type.endswith(" | None")):
+                continue
+            if isinstance(value, bool) or not isinstance(value, kind[0]):
+                raise ConfigError(f"{f.name} must be {kind[1]}, got {value!r}")
+        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) and n > 0
+                   for n in self.hidden):
+            raise ConfigError(f"hidden must hold positive integers, got {self.hidden!r}")
         if self.algorithm not in ("multimodal", "continuous"):
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if self.algorithm == "continuous":
@@ -65,6 +82,10 @@ class TrainConfig:
             self.lambda_final = 0.0
         if not 0.0 < self.gamma < 1.0:
             raise ConfigError("gamma must lie in (0, 1)")
+        if not 0.0 <= self.tau <= 1.0:
+            raise ConfigError(f"tau must lie in [0, 1], got {self.tau!r}")
+        if not self.lipschitz > 0.0:
+            raise ConfigError(f"lipschitz must be positive, got {self.lipschitz!r}")
         for name in ("iterations", "sampling_steps", "update_steps", "batch_size"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
@@ -281,10 +302,8 @@ class Trainer:
         j_pi = actor_mod.policy_loss(j_rev, j_fwd, lam)
         self._check_finite(j_pi, "policy loss")
         zero_grads(self.policy.parameters())
-        zero_grads(self.critics.all_parameters())
         j_pi.backward()
         self.opt_policy.step()
-        zero_grads(self.critics.all_parameters())
 
         # temperature
         beta_alpha = self.alpha_schedule.at(self.update_count)

@@ -171,7 +171,8 @@ class TestLangevin:
         # a stand-in that is not a CriticPair takes energy_grad_fn's tape path
         class TapeOnly:
             def q_min(self, states, actions):
-                return critics.q_min(states, actions)
+                return ad.minimum(critics.online(0, states, actions).q,
+                                  critics.online(1, states, actions).q)
 
         critics = make_critics(3, hidden=(16, 16))
         pol = make_policy(2)

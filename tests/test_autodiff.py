@@ -29,6 +29,31 @@ def test_gelu_parts_equal_plain_expressions_bit_for_bit():
     np.testing.assert_array_equal(slope, phi + x * pdf)
 
 
+@pytest.mark.parametrize("gelu", [False, True])
+@pytest.mark.parametrize("x_grad", [False, True])
+def test_dense_equals_gelu_add_matmul_nodes(gelu, x_grad):
+    rng = np.random.default_rng(5)
+    data = [rng.normal(size=(7, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)]
+    seed = rng.normal(size=(7, 3))
+    grads, outs = [], []
+    for build in (lambda x, w, b: ad.dense(x, w, b, gelu),
+                  lambda x, w, b: (ad.gelu if gelu else lambda h: h)(
+                      ad.add(ad.matmul(x, w), b))):
+        x = Tensor(data[0], requires_grad=x_grad)
+        w, b = ad.parameter(data[1]), ad.parameter(data[2])
+        out = build(x, w, b)
+        out.backward(seed)
+        outs.append(out.data)
+        grads.append((x.grad, w.grad, b.grad))
+    np.testing.assert_array_equal(outs[0], outs[1])
+    for got, want in zip(*grads):
+        if want is None:
+            assert got is None
+        else:
+            np.testing.assert_array_equal(got, want)
+    assert (grads[0][0] is None) == (not x_grad)
+
+
 def test_quadratic_loss_gradcheck_exact():
     p = ad.parameter(np.array([0.3, -1.2, 2.0]))
 

@@ -30,6 +30,30 @@ def test_round_trip_is_bit_exact(tmp_path):
         assert loaded["params"][name].dtype == np.float64
 
 
+def test_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    params = make_params(np.random.default_rng(0))
+    path = tmp_path / "ck.npz"
+    ckpt.save_checkpoint(path, params)
+    before = path.read_bytes()
+
+    def savez_then_fail(fh, **payload):
+        fh.write(b"PK\x03\x04 partial archive")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", savez_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        ckpt.save_checkpoint(path, make_params(np.random.default_rng(1)))
+    assert path.read_bytes() == before
+    loaded = ckpt.load_checkpoint(path)
+    np.testing.assert_array_equal(loaded["params"]["net.w0"], params["net.w0"].data)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.npz"]
+
+
+def test_bare_name_gets_npz_suffix(tmp_path):
+    ckpt.save_checkpoint(tmp_path / "ck", make_params(np.random.default_rng(0)))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.npz"]
+
+
 def test_restore_overwrites_live_tensors(tmp_path):
     rng = np.random.default_rng(1)
     params = make_params(rng)

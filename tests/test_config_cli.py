@@ -52,6 +52,17 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match=key):
             validate_config(bad)
 
+    @pytest.mark.parametrize("key,value", [
+        ("lipschitz", -1.0), ("lipschitz", 0), ("tau", 5.0), ("tau", -0.1),
+        ("lr_initial", "1e-3"), ("gamma", "0.9"), ("batch_size", 2.5),
+        ("iterations", "10"), ("seed", True), ("min_buffer", 4.0),
+        ("target_entropy", "low"), ("hidden", [8.5, 8]), ("hidden", [0, 8]),
+        ("hidden", ["8", 8])])
+    def test_bad_train_value_named(self, tmp_path, key, value):
+        cfg = {"task": TINY["task"], "train": {**TINY["train"], key: value}}
+        with pytest.raises(ConfigError, match=key):
+            build(load_config(write_cfg(tmp_path, cfg)))
+
     def test_unknown_task_key_named(self):
         bad = {"task": {"id": "gap1d", "obstacle_radius": 1.0}, "train": {}}
         with pytest.raises(ConfigError, match="obstacle_radius"):
@@ -160,6 +171,15 @@ class TestCli:
         bad = {"task": {"id": "gap1d"}, "train": {"optimizer": "sgd"}}
         assert main(["train", write_cfg(tmp_path, bad)]) == 1
         assert "optimizer" in capsys.readouterr().err
+
+    def test_float_without_dot_exits_1_and_names_key(self, tmp_path, capsys):
+        # PyYAML reads 1e-3 (no dot) as the string '1e-3'
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(TINY).replace("train:\n",
+                                                     "train:\n  lr_initial: 1e-3\n"))
+        assert load_config(str(path))["train"]["lr_initial"] == "1e-3"
+        assert main(["train", str(path), "--out", str(tmp_path / "runs")]) == 1
+        assert "lr_initial" in capsys.readouterr().err
 
     def test_topo_contractibility_verdicts(self, tmp_path, capsys):
         th = np.linspace(0.0, 2.0 * np.pi, 33)

@@ -5,6 +5,7 @@ import pytest
 from bifurcrl import autodiff as ad
 from bifurcrl import critic as critic_mod
 from bifurcrl.autodiff import Tensor
+from bifurcrl.checkpoint import restore_params
 from bifurcrl.critic import (SIGMA_Q_MAX, SIGMA_Q_MIN, CriticPair, critic_loss,
                              target_value)
 from bifurcrl.errors import ConfigError
@@ -81,17 +82,57 @@ def test_q_min_is_elementwise_minimum():
     np.testing.assert_allclose(pair.q_min(s, a).data, np.minimum(q1, q2))
 
 
-def test_q_min_action_grad_fn_equals_tape_bit_for_bit():
+def per_twin_q_min(pair, s, a):
+    """q_min as the tape builds it from the two twins' own networks."""
+    return ad.minimum(pair.online(0, s, a).q, pair.online(1, s, a).q)
+
+
+def assert_q_min_equals_per_twin_tape(pair, s, a):
+    at = Tensor(a, requires_grad=True)
+    q = pair.q_min(s, at)
+    ad.tsum(ad.mul(q, 1.0 / 0.3)).backward()
+    # q_min is differentiable in the actions only
+    assert all(p.grad is None for p in pair.all_parameters())
+    ref_at = Tensor(a, requires_grad=True)
+    ref = per_twin_q_min(pair, s, ref_at)
+    ad.tsum(ad.mul(ref, 1.0 / 0.3)).backward()
+    for p in pair.all_parameters():
+        p.zero_grad()
+    np.testing.assert_array_equal(q.data, ref.data)
+    np.testing.assert_array_equal(at.grad, ref_at.grad)
+
+
+def test_q_min_equals_per_twin_tape_bit_for_bit():
     pair = make_pair(6, hidden=(16, 16))
     rng = np.random.default_rng(4)
     s = rng.normal(size=(32, 3))
     a = rng.normal(size=(32, 2))
     first = pair.online(0, s, a).q.data <= pair.online(1, s, a).q.data
     assert first.any() and not first.all()  # both critics pick some rows
-    at = Tensor(a, requires_grad=True)
-    ad.tsum(ad.mul(pair.q_min(s, at), 1.0 / 0.3)).backward()
-    grad = pair.q_min_action_grad_fn(s)
-    np.testing.assert_array_equal(grad(a, 1.0 / 0.3), at.grad)
+    assert_q_min_equals_per_twin_tape(pair, s, a)
+
+
+def test_q_min_follows_in_place_updates_of_the_twins():
+    # the twins' parameters are views into the stacks q_min runs on; every
+    # writer of critic parameters must keep them so
+    pair = make_pair(6, hidden=(16, 16))
+    rng = np.random.default_rng(5)
+    s = rng.normal(size=(32, 3))
+    a = rng.normal(size=(32, 2))
+    y = rng.normal(size=32)
+    for i in (0, 1):
+        opt = AdamState(pair.parameters(i), LrSchedule(1e-2, 1e-2, 10))
+        critic_loss(pair.online(i, s, a), y).backward()
+        opt.step()
+    assert_q_min_equals_per_twin_tape(pair, s, a)
+    soft_update(pair.targets[1].parameters(), pair.nets[1].parameters(), 0.5)
+    assert_q_min_equals_per_twin_tape(pair, s, a)
+    saved = {name: p.data + rng.normal(scale=0.1, size=p.data.shape)
+             for name, p in pair.named_parameters().items()}
+    restore_params(pair.named_parameters(), {"params": saved})
+    np.testing.assert_array_equal(pair.nets[0].layers[0][0].data,
+                                  saved["critic1.w0"])
+    assert_q_min_equals_per_twin_tape(pair, s, a)
 
 
 class TestTargetValue:

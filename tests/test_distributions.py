@@ -89,6 +89,17 @@ def test_sample_log_density_matches_entropy_estimate():
     assert abs(np.mean(lp) - np.mean(ref)) < 3.0 * se
 
 
+def test_sample_builds_log_prob_only_when_read():
+    bounds = ActionBounds(np.array([-1.0]), np.array([1.0]))
+    out = make_output([[0.4, 0.6]] * 5, [[[-0.5], [0.6]]] * 5,
+                      [[[0.4], [0.3]]] * 5, bounds)
+    s = gmm_sample(out, np.random.default_rng(3))
+    assert "log_prob" not in s.__dict__
+    np.testing.assert_array_equal(s.log_prob.data,
+                                  dist.log_prob_pre(out, s.pre_action).data)
+    assert s.log_prob is s.log_prob
+
+
 def test_component_frequencies_match_gates():
     rng = np.random.default_rng(1)
     n = 100_000

@@ -75,6 +75,22 @@ def test_training_is_deterministic():
     assert run() == run()
 
 
+def test_policy_backward_leaves_critic_gradients_unset():
+    tr = Trainer(Gap1dEnv(), tiny_config())
+    seen = []
+    policy_step = tr.opt_policy.step
+
+    def step():
+        seen.append([p.grad is None for p in tr.critics.all_parameters()])
+        policy_step()
+
+    tr.opt_policy.step = step
+    tr.train_iteration()
+    tr.train_iteration()
+    assert len(seen) == tr.cfg.update_steps
+    assert all(all(row) for row in seen)
+
+
 def test_continuous_trainer_has_single_component():
     tr = Trainer(Gap1dEnv(), tiny_config(algorithm="continuous"))
     assert tr.policy.k == 1
